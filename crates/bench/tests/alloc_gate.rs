@@ -108,18 +108,31 @@ fn gate_codec_round_trip() {
     assert_eq!(n, 0, "codec round trip must not allocate: {n} allocs");
 }
 
-/// Phase 3: the full loopback echo — client submit, reactor frame +
-/// flush, server decode + serve + encode, client correlate + wake. The
-/// op is a `Get` of an absent key: the miss path touches every wire
-/// layer but fabricates no entry, so steady state must be 0 allocs/op.
+/// Phase 3: the full loopback echo — the caller frames and flushes on
+/// its own thread, the server decodes + serves + encodes, the caller
+/// reads and correlates the response. The op is a `Get` of an absent
+/// key: the miss path touches every wire layer but fabricates no entry,
+/// so steady state must be 0 allocs/op. Then the cast path: frame into
+/// the link and flush, with no response. Casts go to a sink that only
+/// drains the socket, because the server owns every cast body it
+/// decodes (an allocation by design, outside the client's path).
 fn gate_loopback_echo() {
     let runtime = ServiceRuntime::start(RuntimeConfig::default(), TcpLayer::ephemeral());
-    let addrs: Vec<std::net::SocketAddr> = {
+    let mut addrs: Vec<std::net::SocketAddr> = {
         let map = runtime.layer().addrs();
         let mut pairs: Vec<_> = map.iter().map(|(s, a)| (*s, *a)).collect();
         pairs.sort_by_key(|(s, _)| *s);
         pairs.into_iter().map(|(_, a)| a).collect()
     };
+    let sink = std::net::TcpListener::bind("127.0.0.1:0").expect("bind cast sink");
+    let sink_site = SiteId(addrs.len() as u16);
+    addrs.push(sink.local_addr().expect("sink addr"));
+    // geometa-lint: allow(untracked-thread) test cast sink, joined at the end of the phase
+    let drain = std::thread::spawn(move || {
+        let (mut conn, _) = sink.accept().expect("accept cast link");
+        let mut buf = [0u8; 64 * 1024];
+        while matches!(std::io::Read::read(&mut conn, &mut buf), Ok(n) if n > 0) {}
+    });
     let transport = transport_for(&addrs, Duration::from_secs(10));
     let key: Key = "montage/never-published.fits".into();
 
@@ -150,7 +163,28 @@ fn gate_loopback_echo() {
         n as f64 / ops as f64
     );
 
+    // Casts: dial the sink link and grow its buffers first; the counted
+    // loop consumes requests built before it.
+    let cast = || RegistryRequest::Get { key: key.clone() };
+    for _ in 0..2000 {
+        transport.cast(sink_site, cast());
+    }
+    let casts: Vec<RegistryRequest> = (0..ops).map(|_| cast()).collect();
+    let (n, _) = allocs_during(|| {
+        for req in casts {
+            transport.cast(sink_site, req);
+        }
+    });
+    assert_eq!(
+        n,
+        0,
+        "cast must not allocate in steady state: {n} allocs over {ops} casts ({:.3}/cast)",
+        n as f64 / ops as f64
+    );
+    assert_eq!(transport.casts_shed(), 0, "the sink drains every cast");
+
     drop(transport);
+    drain.join().expect("cast sink");
     runtime.shutdown();
 }
 

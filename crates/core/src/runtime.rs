@@ -896,8 +896,9 @@ pub trait ConnectionLayer: Send {
 
     /// A client transport viewed from `site`. Returned as `Arc` so layers
     /// whose transports are location-independent (TCP: routing is per
-    /// target, and the pooled connections + cast pump are expensive) can
-    /// hand every client a clone of one shared instance.
+    /// target, and sharing one pipelined connection per site lets
+    /// concurrent clients' frames coalesce) can hand every client a clone
+    /// of one shared instance.
     fn transport(&self, core: &Arc<ServiceCore>, site: SiteId) -> Arc<Self::Transport>;
 
     /// Called once at shutdown, after the core's shutdown flag is set:

@@ -34,7 +34,8 @@ pub trait RegistryTransport: Send + Sync {
     /// response") silently violated this for any transport with real
     /// latency, so every transport now states its delivery mechanism
     /// explicitly (in-process: serve inline — zero latency; live: delay
-    /// line; net: background cast pump).
+    /// line; net: a nonblocking write of the cast frame on the caller's
+    /// thread, shed rather than queued when the target is slow or down).
     fn cast(&self, target: SiteId, req: RegistryRequest);
 
     /// Monotonic logical clock in microseconds (stamped onto writes).

@@ -557,6 +557,17 @@ impl FileWal {
     /// good record. The caller replays [`WalRecovery`] into its
     /// registry before serving.
     pub fn open(dir: &Path, policy: FsyncPolicy) -> Result<(FileWal, WalRecovery), WalError> {
+        FileWal::open_with(dir, policy, true)
+    }
+
+    /// [`FileWal::open`], with the group-commit flusher thread left out
+    /// when `spawn_flusher` is false (tests that must control exactly
+    /// who wakes a group-commit waiter).
+    fn open_with(
+        dir: &Path,
+        policy: FsyncPolicy,
+        spawn_flusher: bool,
+    ) -> Result<(FileWal, WalRecovery), WalError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create data dir", e))?;
         let snap_path = dir.join(SNAPSHOT_FILE);
         let log_path = dir.join(LOG_FILE);
@@ -608,7 +619,7 @@ impl FileWal {
             shared: Arc::clone(&shared),
             flusher: Mutex::new(None),
         };
-        if let FsyncPolicy::GroupCommit(interval) = policy {
+        if let (FsyncPolicy::GroupCommit(interval), true) = (policy, spawn_flusher) {
             let shared = Arc::clone(&shared);
             // geometa-lint: allow(untracked-thread) the flusher is joined by close()/Drop, and FileWal is owned by ServiceCore whose shutdown closes every sink
             let handle = std::thread::Builder::new()
@@ -790,6 +801,10 @@ impl WalSink for FileWal {
             .map_err(|e| io_err("sync truncated log", e))?;
         state.records_since_snapshot = 0;
         state.synced_seq = state.appended_seq;
+        // Group-commit waiters whose records the snapshot just made
+        // durable must wake now: the flusher finds nothing left to sync,
+        // so it would never notify them.
+        self.shared.synced.notify_all();
         Ok(())
     }
 
@@ -1099,6 +1114,44 @@ mod tests {
         let mut seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
         seqs.sort_unstable();
         assert_eq!(seqs, (0..100).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A group-commit waiter whose record a snapshot covers returns at
+    /// the snapshot, with no further append. The flusher is left out, so
+    /// only `install_snapshot` can wake the waiter; and the waiter is
+    /// known to be parked once its record is visible, because it holds
+    /// the state lock from writing the record until `wait` releases it.
+    #[test]
+    fn snapshot_wakes_the_group_commit_waiters_it_covers() {
+        let dir = temp_dir("snapwake");
+        // One record already on disk, so the waiter's record (seq 1) is
+        // the first the group-commit log has not synced.
+        {
+            let (wal, _) = FileWal::open(&dir, FsyncPolicy::Always).unwrap();
+            wal.append(&put("earlier", 0), 0).unwrap();
+        }
+        let policy = FsyncPolicy::GroupCommit(Duration::from_secs(3600));
+        let (wal, _) = FileWal::open_with(&dir, policy, false).unwrap();
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let waiter = &wal;
+            scope.spawn(move || {
+                let _ = tx.send(waiter.append(&put("covered", 1), 1));
+            });
+            while wal.shared.state.lock().next_seq == 1 {
+                std::thread::yield_now();
+            }
+            wal.install_snapshot(&mut Vec::new).unwrap();
+            let acked = rx.recv_timeout(Duration::from_secs(10));
+            // Release a stuck waiter either way, so a failure reports
+            // instead of hanging the scope.
+            wal.close();
+            assert!(
+                matches!(acked, Ok(Ok(1))),
+                "the waiter must return at the snapshot, got {acked:?}"
+            );
+        });
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,138 +1,87 @@
-//! The TCP client transport: one pipelined connection per target site
-//! driven by a reactor thread, with a background cast pump so the lazy
-//! path never blocks on a slow target.
+//! The TCP client transport: one pipelined connection per target site,
+//! driven entirely by the callers. There is no client thread — every
+//! call and cast writes its frame on the caller's own thread, and the
+//! callers waiting for responses take turns reading the socket.
 //!
-//! # Calls: pipelining and exactly-once retries
+//! # Links: leader/followers over one socket
 //!
-//! Every `call` runs on a *slot* from a free-list slab: the caller
-//! encodes the request into the slot's reused submission buffer, pushes
-//! the slot onto the reactor's queue, and sleeps on the slot's condvar.
-//! After warmup the whole round trip — submit, frame, correlate, wake —
-//! performs no heap allocation: slots, buffers and queues all reach a
-//! high-water mark and are recycled. The reactor owns one nonblocking
-//! connection per target, tags each request with a per-connection
-//! sequence id ([`crate::server::MODE_CALL_SEQ`] frames), and writes
-//! every submission that arrived in one pass back-to-back — so
-//! concurrent callers share a connection, their requests coalesce into
-//! one kernel write, and the server's batch decode turns them into
-//! shard-grouped multi-gets. Responses are correlated back to callers by
-//! the echoed sequence id, so they may resolve in any order; a slot
-//! generation counter (bumped on every submission and on timeout)
-//! guards recycled slots against late deliveries.
+//! Each target site has a *link*: one mutex guarding the socket, the
+//! out-buffer, the incremental [`FrameReader`] and the queue of calls
+//! awaiting a response. A `call` encodes its request straight into the
+//! out-buffer behind a [`crate::server::MODE_CALL_SEQ`] (or
+//! [`MODE_CALL_EPOCH`]) header carrying a per-connection sequence id,
+//! then flushes it with a nonblocking `send`. Whoever finds no flush in
+//! progress writes *everything* queued, outside the lock, and goes round
+//! again while concurrent callers keep appending — so requests that
+//! arrive together still leave in one kernel write, and the server's
+//! batch decode turns them into shard-grouped multi-gets.
+//!
+//! Then the caller waits for its answer. If no other caller is reading
+//! the link, it becomes the *reader* (the leader/followers pattern of
+//! Schmidt et al.): it `poll(2)`s that one socket in slices of the
+//! transport's `io_tick`, correlates every complete response to its
+//! caller by the echoed sequence id, and, once its own answer is in,
+//! hands the reader role to the oldest still-pending caller. Every other
+//! caller sleeps on its own slot's condvar until it is answered or
+//! handed the role. The link lock is always taken before a slot lock,
+//! never after. A slot generation counter (bumped on every submission
+//! and on timeout) guards recycled slots against late deliveries.
+//!
+//! A `cast` encodes a [`MODE_CAST`] frame into the same out-buffer and
+//! flushes it nonblocking; bytes the kernel does not take stay queued
+//! for the next operation on that link. Casts are shed, never queued
+//! without bound: past [`CAST_BACKLOG`] unsent bytes, or while the
+//! site's circuit breaker is open.
+//!
+//! After warmup neither a round trip nor a cast touches the heap: slots,
+//! buffers and queues reach a high-water mark and are recycled.
+//!
+//! # Exactly-once retries
 //!
 //! Retries are governed by one invariant: **a request may be re-sent
-//! only if it provably never reached the server**. The reactor tracks,
-//! per connection, the absolute byte offset handed to the kernel; when a
-//! connection dies, a pending call whose frame was not yet *fully*
-//! flushed is reported [`CallOutcome::NotSent`] (a partial frame can
-//! never be decoded, let alone applied) and `call` transparently retries
-//! once on a fresh connection. Everything else — a flushed frame with no
-//! response, a response timeout, any bytes of a response — is
-//! `Unavailable` with **no second send**: the server may have applied
-//! the request, and `Put`/OCC writes are not idempotent across duplicate
-//! delivery.
+//! only if it provably never reached the server**. Each link tracks the
+//! absolute byte offset handed to the kernel; when a connection dies, a
+//! pending call whose frame was not yet *fully* handed over is reported
+//! [`CallOutcome::NotSent`] (a partial frame can never be decoded, let
+//! alone applied) and `call` transparently retries once on a fresh
+//! connection. Everything else — a flushed frame with no response, a
+//! response timeout, any bytes of a response — is `Unavailable` with
+//! **no second send**: the server may have applied the request, and
+//! `Put`/OCC writes are not idempotent across duplicate delivery. Bytes
+//! a flusher is writing outside the lock when another caller kills the
+//! connection count as handed over, so that race errs on the side of no
+//! re-send.
 
-use crate::frame::{write_frame_with_mode, Fill, FrameReader, MAX_FRAME};
+use crate::frame::{Fill, FrameReader, MAX_FRAME};
 use crate::server::{epoch_checked, MODE_CALL_EPOCH, MODE_CALL_SEQ, MODE_CAST};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use geometa_core::protocol::{self, RegistryRequest, RegistryResponse};
 use geometa_core::transport::RegistryTransport;
 use geometa_core::MetaError;
 use geometa_sim::rng::SplitMix64;
 use geometa_sim::topology::SiteId;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use polling::{Event, Poller};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// TCP connect deadline for calls.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
-/// Cast-pump connect deadline: shorter, so a down site costs little.
+/// Connect deadline when a cast finds its site unconnected: shorter, so
+/// a down site costs little. A failed cast dial is a breaker strike, so
+/// a dead site costs at most [`BREAKER_THRESHOLD`] dials before its
+/// casts are shed.
 const CAST_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
-/// Cast-pump per-write deadline: a target that accepts but stops reading
-/// (full socket buffer) fails the write instead of head-of-line-blocking
-/// lazy pushes to every other site — and instead of hanging the pump
-/// join in `Drop`.
-const CAST_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
-/// Bounded cast queue: when the pump falls this far behind, new casts are
-/// dropped. Lazy pushes are best-effort — a miss at the hash owner is
-/// repaired by the next read probing further, and the *sync agent* never
-/// uses `cast` (it requires acked delivery; see
+/// A cast is shed when its link already holds this many bytes the
+/// kernel has not accepted: a target that stops reading must not grow
+/// the out-buffer without bound. Lazy pushes are best-effort — a miss at
+/// the hash owner is repaired by the next read probing further, and the
+/// *sync agent* never uses `cast` (it requires acked delivery; see
 /// `geometa_core::runtime::drive_sync_agent`).
-const CAST_QUEUE: usize = 4096;
-/// First-failure cooldown for a cast target. Doubles on every further
-/// consecutive failure up to [`CAST_BACKOFF_CAP`], so one dropped
-/// connect mutes a peer briefly while a real outage is probed ever more
-/// rarely — a black-holed site must not head-of-line-block pushes to
-/// healthy sites, but neither should it eat a connect timeout per
-/// message once per fixed window forever.
-const CAST_BACKOFF_BASE: Duration = Duration::from_millis(125);
-/// Ceiling on the per-target cast cooldown (pre-jitter).
-const CAST_BACKOFF_CAP: Duration = Duration::from_secs(8);
-/// Multiplicative jitter spread on every cooldown (`±25%`), so pumps at
-/// many clients that watched the same site die do not re-probe it in
-/// lockstep. Drawn from a seeded [`SplitMix64`] stream: the sequence is
-/// reproducible per transport instance, never wall-clock dependent.
-const CAST_BACKOFF_JITTER: f64 = 0.25;
-/// Seed for the cast pump's jitter stream.
-const CAST_BACKOFF_SEED: u64 = 0xCA57_BACC_0FF5;
-
-/// Per-target capped exponential backoff for the cast pump.
-struct CastBackoff {
-    rng: SplitMix64,
-    strikes: HashMap<SiteId, u32>,
-    until: HashMap<SiteId, Instant>,
-}
-
-impl CastBackoff {
-    fn new(seed: u64) -> CastBackoff {
-        CastBackoff {
-            rng: SplitMix64::new(seed),
-            strikes: HashMap::new(),
-            until: HashMap::new(),
-        }
-    }
-
-    /// Whether casts to `target` should be dropped right now.
-    fn is_dead(&self, target: SiteId, now: Instant) -> bool {
-        self.until.get(&target).is_some_and(|&t| now < t)
-    }
-
-    /// Consecutive failures recorded against `target` (0 after a
-    /// success). Exposed through
-    /// [`TcpClientTransport::cast_strikes`] so recovery tests can assert
-    /// the schedule reset, not just infer it from timing.
-    fn strikes(&self, target: SiteId) -> u32 {
-        self.strikes.get(&target).copied().unwrap_or(0)
-    }
-
-    /// A delivery succeeded: the target is healthy again.
-    fn record_success(&mut self, target: SiteId) {
-        self.strikes.remove(&target);
-        self.until.remove(&target);
-    }
-
-    /// A delivery failed: extend the cooldown. Returns the jittered
-    /// delay so tests (and tracing) can observe the schedule.
-    fn record_failure(&mut self, target: SiteId, now: Instant) -> Duration {
-        let strikes = self.strikes.entry(target).or_insert(0);
-        *strikes = strikes.saturating_add(1);
-        // 125ms, 250ms, … doubling to the cap; the shift is clamped so
-        // a long outage cannot overflow the multiplier.
-        let base = CAST_BACKOFF_BASE
-            .saturating_mul(1u32 << (*strikes - 1).min(16))
-            .min(CAST_BACKOFF_CAP);
-        let factor = 1.0 + self.rng.jitter(CAST_BACKOFF_JITTER);
-        let delay = base.mul_f64(factor);
-        self.until.insert(target, now + delay);
-        delay
-    }
-}
+const CAST_BACKLOG: usize = 4 << 20;
 
 /// Consecutive transport-level failures before a site's breaker opens.
 /// Three strikes separates a stray timeout from a dead peer without
@@ -161,12 +110,12 @@ struct SiteBreaker {
     open_until: Option<Instant>,
 }
 
-/// Per-site circuit breaker for the *call* path, layered on the
-/// exactly-once retry rule: it watches **transport-level** outcomes
-/// only. Any correlated response — including a server-sent
-/// `Error { Unavailable }` — proves the connection works and closes the
-/// breaker; only dial failures, dead connections, and response timeouts
-/// count as strikes.
+/// Per-site circuit breaker, layered on the exactly-once retry rule: it
+/// watches **transport-level** outcomes only. Any correlated response —
+/// including a server-sent `Error { Unavailable }` — proves the
+/// connection works and closes the breaker; only dial failures (calls'
+/// and casts'), dead connections, and response timeouts count as
+/// strikes. While it is open, casts to the site are shed.
 ///
 /// States: closed (deliver) → after [`BREAKER_THRESHOLD`] consecutive
 /// strikes, open (fast-fail without touching the socket) → when the
@@ -219,7 +168,7 @@ impl CircuitBreaker {
     }
 }
 
-/// How one submitted call ended, as reported by the reactor.
+/// How one submitted call ended.
 enum CallOutcome {
     /// A correlated response arrived.
     Response(RegistryResponse),
@@ -237,20 +186,14 @@ struct SlotState {
     /// and again on timeout, so a late delivery against a stale
     /// generation is dropped instead of resolving a recycled slot.
     gen: u64,
-    /// The reactor's verdict for the current generation.
+    /// The verdict for the current generation.
     outcome: Option<CallOutcome>,
-    /// The caller's reused submission buffer: cleared (never shrunk) and
-    /// re-encoded into on every call, so steady-state submission touches
-    /// no allocator.
-    body: Vec<u8>,
-    target: SiteId,
-    /// Membership epoch to stamp on the frame ([`MODE_CALL_EPOCH`]);
-    /// `None` sends a plain [`MODE_CALL_SEQ`] frame (epoch-exempt).
-    epoch: Option<u64>,
+    /// The link's reader role was handed to this caller.
+    promoted: bool,
 }
 
-/// One slot of the call slab: a caller parks on `cv` until the reactor
-/// delivers an outcome for its generation.
+/// One slot of the call slab: a waiting caller sleeps on `cv` until its
+/// outcome is delivered or the reader role is handed to it.
 struct CallSlot {
     state: Mutex<SlotState>,
     cv: Condvar,
@@ -262,31 +205,15 @@ impl CallSlot {
             state: Mutex::new(SlotState {
                 gen: 0,
                 outcome: None,
-                body: Vec::new(),
-                target: SiteId(0),
-                epoch: None,
+                promoted: false,
             }),
             cv: Condvar::new(),
         }
     }
 }
 
-/// The call slab: a free list of recycled slots plus the submission
-/// queue the reactor drains. Both are plain `Mutex<Vec>`s — pushing a
-/// recycled slot or a submission is lock-push-unlock with no allocation
-/// once the vectors reach their high-water mark (a channel here would
-/// allocate per send in the vendored shim).
-struct CallSlab {
-    /// Submissions awaiting the reactor, with the generation each was
-    /// made under. Drained wholesale by `mem::swap` into the reactor's
-    /// local vector.
-    queue: Mutex<Vec<(Arc<CallSlot>, u64)>>,
-    /// Recycled slots ready for the next caller.
-    free: Mutex<Vec<Arc<CallSlot>>>,
-}
-
 /// Deliver `outcome` to a slot if its generation still matches, waking
-/// the parked caller.
+/// the waiting caller.
 fn deliver(slot: &CallSlot, gen: u64, outcome: CallOutcome) {
     let mut st = slot.state.lock();
     if st.gen == gen {
@@ -295,7 +222,12 @@ fn deliver(slot: &CallSlot, gen: u64, outcome: CallOutcome) {
     }
 }
 
-/// A call waiting for its response on some connection.
+/// Take the slot's outcome, if one has been delivered.
+fn take_outcome(slot: &CallSlot) -> Option<CallOutcome> {
+    slot.state.lock().outcome.take()
+}
+
+/// A call waiting for its response on a link.
 struct PendingCall {
     seq: u32,
     /// Absolute output offset one past this call's frame: the frame is
@@ -306,143 +238,193 @@ struct PendingCall {
     gen: u64,
 }
 
-/// One reactor-owned pipelined connection.
-struct CConn {
+/// One live connection: the socket plus the single-fd poller its reader
+/// waits on. Shared so the reader and a flusher can use it outside the
+/// link lock; on re-locking, `Arc::ptr_eq` against the link's current
+/// socket tells them whether their connection is still the live one.
+struct Sock {
     stream: TcpStream,
-    reader: FrameReader,
-    /// Pending output; `sent` is the already-flushed prefix.
-    out: Vec<u8>,
-    sent: usize,
-    /// Lifetime bytes handed to the kernel on this connection.
-    flushed_abs: u64,
-    /// Lifetime bytes appended to `out` on this connection.
-    queued_abs: u64,
-    next_seq: u32,
-    pending: VecDeque<PendingCall>,
+    poller: Poller,
 }
 
-/// Max `FrameReader::fill` calls per readiness pass (≤16 KiB each); the
-/// level-triggered poller re-fires for leftovers.
-const MAX_FILLS_PER_PASS: usize = 16;
+impl Sock {
+    fn dial(addr: &SocketAddr, timeout: Duration) -> std::io::Result<Arc<Sock>> {
+        let stream = TcpStream::connect_timeout(addr, timeout)?;
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        let poller = Poller::new()?;
+        poller.add(&stream, Event::readable(0))?;
+        Ok(Arc::new(Sock { stream, poller }))
+    }
+}
 
-impl CConn {
-    fn new(stream: TcpStream) -> CConn {
-        CConn {
-            stream,
+/// Everything one link's callers share, guarded by the link mutex.
+struct LinkState {
+    /// The live connection; `None` before the first dial and after the
+    /// connection died.
+    sock: Option<Arc<Sock>>,
+    reader: FrameReader,
+    /// Bytes queued and not yet handed to a flusher.
+    out: Vec<u8>,
+    /// The flusher's buffer between flushes: swapped with `out` when a
+    /// flush starts, so both keep their capacity.
+    spare: Vec<u8>,
+    /// Calls awaiting a response, oldest first.
+    pending: VecDeque<PendingCall>,
+    /// The reader's poll scratch, lent out while it polls.
+    events: Vec<Event>,
+    /// Lifetime bytes the kernel accepted on this connection.
+    flushed_abs: u64,
+    /// Lifetime bytes handed to a flusher: `flushed_abs` plus whatever a
+    /// flush in progress is writing outside the lock.
+    handed_abs: u64,
+    /// Lifetime bytes appended on this connection.
+    queued_abs: u64,
+    next_seq: u32,
+    /// A caller holds the reader role.
+    reading: bool,
+    /// A caller is writing handed bytes outside the lock.
+    flushing: bool,
+    /// Whether the poller is registered for writability.
+    poll_writable: bool,
+}
+
+impl LinkState {
+    fn new() -> LinkState {
+        LinkState {
+            sock: None,
             reader: FrameReader::new(),
             out: Vec::new(),
-            sent: 0,
+            spare: Vec::new(),
+            pending: VecDeque::new(),
+            events: Vec::new(),
             flushed_abs: 0,
+            handed_abs: 0,
             queued_abs: 0,
             next_seq: 0,
-            pending: VecDeque::new(),
+            reading: false,
+            flushing: false,
+            poll_writable: false,
         }
     }
 
-    /// Frame one call onto the output buffer and record it pending.
-    /// With an epoch the frame is `[MODE_CALL_EPOCH][seq][epoch][req]`,
-    /// without it `[MODE_CALL_SEQ][seq][req]`.
+    /// Whether `sock` is still this link's live connection.
+    fn is_live(&self, sock: &Arc<Sock>) -> bool {
+        self.sock.as_ref().is_some_and(|s| Arc::ptr_eq(s, sock))
+    }
+
+    /// Append one frame — `[len][mode][header][request]` — to the
+    /// out-buffer, encoding the request in place. False (and nothing
+    /// appended) when the frame would exceed [`MAX_FRAME`].
     // geometa-hot
-    fn enqueue_call(&mut self, body: &[u8], epoch: Option<u64>, slot: Arc<CallSlot>, gen: u64) {
-        let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
-        let frame_body = 1 + 4 + if epoch.is_some() { 8 } else { 0 } + body.len();
-        self.out
-            .extend_from_slice(&(frame_body as u32).to_le_bytes());
-        self.out.push(if epoch.is_some() {
-            MODE_CALL_EPOCH
-        } else {
-            MODE_CALL_SEQ
-        });
-        self.out.extend_from_slice(&seq.to_le_bytes());
-        if let Some(e) = epoch {
-            self.out.extend_from_slice(&e.to_le_bytes());
+    fn push_frame(&mut self, mode: u8, header: &[u8], req: &RegistryRequest) -> bool {
+        let body = 1 + header.len() + req.encoded_len();
+        if body > MAX_FRAME {
+            return false;
         }
-        self.out.extend_from_slice(body);
-        self.queued_abs += (4 + frame_body) as u64;
+        self.out.extend_from_slice(&(body as u32).to_le_bytes());
+        self.out.push(mode);
+        self.out.extend_from_slice(header);
+        req.encode_into(&mut self.out);
+        self.queued_abs += (4 + body) as u64;
+        true
+    }
+
+    /// Frame one call and record it pending. With an epoch the frame is
+    /// `[MODE_CALL_EPOCH][seq][epoch][req]`, without it
+    /// `[MODE_CALL_SEQ][seq][req]`. False when the call is unframeable.
+    // geometa-hot
+    fn enqueue_call(
+        &mut self,
+        req: &RegistryRequest,
+        epoch: Option<u64>,
+        slot: &Arc<CallSlot>,
+        gen: u64,
+    ) -> bool {
+        let seq = self.next_seq;
+        let mut header = [0u8; 12];
+        header[..4].copy_from_slice(&seq.to_le_bytes());
+        let (mode, header_len) = match epoch {
+            Some(e) => {
+                header[4..].copy_from_slice(&e.to_le_bytes());
+                (MODE_CALL_EPOCH, 12)
+            }
+            None => (MODE_CALL_SEQ, 4),
+        };
+        if !self.push_frame(mode, &header[..header_len], req) {
+            return false;
+        }
+        self.next_seq = seq.wrapping_add(1);
         self.pending.push_back(PendingCall {
             seq,
             end_abs: self.queued_abs,
-            slot,
+            slot: Arc::clone(slot),
             gen,
         });
+        true
     }
 
-    /// Drain readable bytes and resolve every complete response frame.
-    /// Returns false when the connection must be dropped.
+    /// One nonblocking read, then resolve every complete response frame.
+    /// False when the connection must be dropped. Responses that made it
+    /// through before the stream died still resolve — those callers get
+    /// real answers, not `Unavailable`. Frames are popped as ranges into
+    /// the read buffer: correlating a response touches the heap only
+    /// when it carries a payload (`Found`/`Delta`/`Status`) that must
+    /// outlive the buffer.
     // geometa-hot
-    fn pump_read(&mut self) -> bool {
-        let mut alive = true;
-        for _ in 0..MAX_FILLS_PER_PASS {
-            match self.reader.fill(&mut self.stream) {
-                Ok(Fill::Progress) => continue,
-                Ok(Fill::Idle) => break,
-                Ok(Fill::Eof) | Err(_) => {
-                    alive = false;
-                    break;
-                }
-            }
-        }
-        // Resolve responses that made it through even when the stream
-        // just died — those callers get real answers, not Unavailable.
-        // Frames are popped as ranges into the read buffer: correlating
-        // a response touches the heap only when the response carries a
-        // payload (`Found`/`Delta`/`Status`) that must outlive the pass.
+    fn read_ready(&mut self, sock: &Sock) -> bool {
+        let alive = matches!(
+            self.reader.fill(&mut &sock.stream),
+            Ok(Fill::Progress | Fill::Idle)
+        );
         loop {
-            let range = match self.reader.next_frame_range() {
-                Ok(Some(range)) => range,
-                Ok(None) => break,
+            match self.reader.next_frame_range() {
+                Ok(Some(range)) => {
+                    if !resolve_frame(&self.reader, range, &mut self.pending) {
+                        return false;
+                    }
+                }
+                Ok(None) => return alive,
                 Err(_) => return false,
-            };
-            if !resolve_frame(&self.reader, range, &mut self.pending) {
-                return false;
             }
         }
-        alive
     }
 
-    /// Push pending output to the kernel. `Ok(true)` = fully drained.
-    fn flush_out(&mut self) -> std::io::Result<bool> {
-        while self.sent < self.out.len() {
-            match self.stream.write(&self.out[self.sent..]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "peer stopped accepting bytes",
-                    ))
-                }
-                Ok(n) => {
-                    self.sent += n;
-                    self.flushed_abs += n as u64;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if self.sent > 256 * 1024 {
-                        self.out.drain(..self.sent);
-                        self.sent = 0;
-                    }
-                    return Ok(false);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+    /// Hand the reader role to the oldest pending call, if any.
+    fn promote_oldest(&self) {
+        if let Some(p) = self.pending.front() {
+            let mut st = p.slot.state.lock();
+            if st.gen == p.gen {
+                st.promoted = true;
+                p.slot.cv.notify_one();
             }
         }
-        self.out.clear();
-        self.sent = 0;
-        Ok(true)
     }
 
     /// The connection is dead: report every pending call per the
-    /// exactly-once rule — fully-flushed frames *may* have been applied
-    /// (`Failed`), partially-flushed ones cannot have been (`NotSent`).
-    fn fail_pending(self) {
-        for p in self.pending {
-            let outcome = if p.end_abs <= self.flushed_abs {
+    /// exactly-once rule — frames fully handed to the kernel *may* have
+    /// been applied (`Failed`), the rest cannot have been (`NotSent`) —
+    /// and reset the link for the next dial. A reader or flusher still
+    /// working on the old socket finds it no longer live and backs off.
+    fn kill(&mut self) {
+        self.sock = None;
+        for p in self.pending.drain(..) {
+            let outcome = if p.end_abs <= self.handed_abs {
                 CallOutcome::Failed
             } else {
                 CallOutcome::NotSent
             };
             deliver(&p.slot, p.gen, outcome);
         }
+        self.reader = FrameReader::new();
+        self.out.clear();
+        self.flushed_abs = 0;
+        self.handed_abs = 0;
+        self.queued_abs = 0;
+        self.next_seq = 0;
+        self.reading = false;
+        self.flushing = false;
+        self.poll_writable = false;
     }
 }
 
@@ -480,307 +462,319 @@ fn resolve_frame(
     true
 }
 
-/// Poller key for the reactor's wake pipe.
-const WAKE_KEY: usize = usize::MAX;
-
-/// The client-side reactor: one thread multiplexing every pipelined
-/// connection plus the wake pipe through the poll shim.
-struct CallReactor {
-    poller: Poller,
-    /// Connections indexed by `SiteId.0` (site ids are dense).
-    conns: Vec<Option<CConn>>,
-    addrs: HashMap<SiteId, SocketAddr>,
-    tick: Duration,
-    /// True only while the reactor may be blocked in `poll`. Submitters
-    /// skip the wake-byte syscall whenever this is false — under load
-    /// the reactor is mid-pass and will drain the queue anyway, so the
-    /// common case sends zero wake bytes.
-    parked: Arc<AtomicBool>,
+/// Write `buf` to a nonblocking socket until it is all written or the
+/// kernel refuses more. Returns the bytes written and how it ended
+/// (`WouldBlock` = the socket buffer is full, the rest must wait).
+fn write_nonblocking(mut stream: &TcpStream, buf: &[u8]) -> (usize, std::io::Result<()>) {
+    let mut written = 0;
+    while written < buf.len() {
+        match stream.write(&buf[written..]) {
+            Ok(0) => return (written, Err(std::io::ErrorKind::WriteZero.into())),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return (written, Err(e)),
+        }
+    }
+    (written, Ok(()))
 }
 
-impl CallReactor {
-    fn run(mut self, slab: Arc<CallSlab>, wake_rx: UnixStream, closing: Arc<AtomicBool>) {
-        let mut events: Vec<Event> = Vec::new();
-        // Reactor-local submission scratch, swapped with the slab queue:
-        // draining N submissions is one lock and zero allocation.
-        let mut local: Vec<(Arc<CallSlot>, u64)> = Vec::new();
-        while !closing.load(Ordering::Acquire) {
-            events.clear();
-            // Park gate, SeqCst-paired with the swap in
-            // `TcpClientTransport::submit`: either the submitter sees
-            // `parked == true` and writes a wake byte, or its push is
-            // already visible to the drain below and we skip the sleep.
-            // Both orders are covered; a missed wake is not possible.
-            self.parked.store(true, Ordering::SeqCst);
-            std::mem::swap(&mut *slab.queue.lock(), &mut local);
-            if !local.is_empty() {
-                // Submissions raced our parking (their callers may have
-                // skipped the wake byte): process them now, don't sleep.
-                self.parked.store(false, Ordering::SeqCst);
-                for (slot, gen) in local.drain(..) {
-                    self.submit(&slot, gen);
-                }
-            } else if self.poller.wait(&mut events, Some(self.tick)).is_err() {
-                break;
-            } else {
-                self.parked.store(false, Ordering::SeqCst);
-            }
-            for &ev in &events {
-                if ev.key == WAKE_KEY {
-                    drain_wake(&wake_rx);
-                    continue;
-                }
-                if !ev.readable {
-                    continue; // writes happen in the flush pass below
-                }
-                let Some(conn) = self.conns.get_mut(ev.key).and_then(Option::as_mut) else {
-                    continue;
-                };
-                if !conn.pump_read() {
-                    self.kill(ev.key);
-                }
-            }
-            // Coalesce: every submission queued right now is framed
-            // before the flush pass, so concurrent callers' requests
-            // leave in one kernel write per connection.
-            std::mem::swap(&mut *slab.queue.lock(), &mut local);
-            for (slot, gen) in local.drain(..) {
-                self.submit(&slot, gen);
-            }
-            self.flush_all();
-        }
-        // Shutdown: nothing more will be read, so every still-pending
-        // call is dead. Report per the flushed-bytes rule; callers map
-        // both outcomes to Unavailable once the transport is closing.
-        for conn in std::mem::take(&mut self.conns).into_iter().flatten() {
-            let _ = self.poller.delete(&conn.stream);
-            conn.fail_pending();
-        }
-        // Submissions still queued never touched a socket: resolve them
-        // too (as Failed — the transport is closing, the caller maps it
-        // to Unavailable) instead of leaving callers to ride out their
-        // full timeout.
-        std::mem::swap(&mut *slab.queue.lock(), &mut local);
-        for (slot, gen) in local.drain(..) {
-            deliver(&slot, gen, CallOutcome::Failed);
+/// One target site's connection state (see the module docs).
+struct Link {
+    addr: SocketAddr,
+    state: Mutex<LinkState>,
+}
+
+impl Link {
+    fn new(addr: SocketAddr) -> Link {
+        Link {
+            addr,
+            state: Mutex::new(LinkState::new()),
         }
     }
 
-    /// Route one submission onto its target's connection, dialing if
-    /// needed. Dial failures are `NotSent` by definition.
+    /// Make sure the link has a live connection, dialing with `timeout`
+    /// when it has none. An idle connection — no reader, nothing pending
+    /// or queued — is probed first with one nonblocking read: a peer
+    /// that closed it while nobody was reading (a restart, an idle reap)
+    /// must be redialed *before* a frame is written into it, because
+    /// afterwards the frame would count as sent and could not be
+    /// retried. False when the dial failed.
     // geometa-hot
-    fn submit(&mut self, slot: &Arc<CallSlot>, gen: u64) {
-        let st = slot.state.lock();
-        let header = 1 + 4 + if st.epoch.is_some() { 8 } else { 0 };
-        if header + st.body.len() > MAX_FRAME {
-            drop(st);
-            deliver(slot, gen, CallOutcome::NotSent); // unframeable
-            return;
-        }
-        let key = st.target.0 as usize;
-        if key >= self.conns.len() {
-            self.conns.resize_with(key + 1, || None);
-        }
-        if self.conns[key].is_none() {
-            let Some(&addr) = self.addrs.get(&st.target) else {
-                drop(st);
-                deliver(slot, gen, CallOutcome::NotSent); // unknown site
-                return;
-            };
-            let conn = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).and_then(|stream| {
-                stream.set_nonblocking(true)?;
-                let _ = stream.set_nodelay(true);
-                self.poller.add(&stream, Event::readable(key))?;
-                Ok(CConn::new(stream))
-            });
-            match conn {
-                Ok(conn) => self.conns[key] = Some(conn),
-                Err(_) => {
-                    drop(st);
-                    deliver(slot, gen, CallOutcome::NotSent);
-                    return;
-                }
+    fn connect(&self, st: &mut LinkState, timeout: Duration) -> bool {
+        if let Some(sock) = st.sock.clone() {
+            let idle = st.pending.is_empty() && st.out.is_empty() && !st.reading && !st.flushing;
+            if !idle || st.read_ready(&sock) {
+                return true;
             }
+            st.kill();
         }
-        if let Some(conn) = self.conns[key].as_mut() {
-            conn.enqueue_call(&st.body, st.epoch, Arc::clone(slot), gen);
+        match Sock::dial(&self.addr, timeout) {
+            Ok(sock) => {
+                st.sock = Some(sock);
+                true
+            }
+            Err(_) => false,
         }
     }
 
-    /// Flush every connection's backlog and refresh poller interest.
-    fn flush_all(&mut self) {
-        for key in 0..self.conns.len() {
-            let Some(conn) = self.conns[key].as_mut() else {
-                continue;
+    /// Write everything queued on the link — unless another caller's
+    /// flush is in progress, which will pick these bytes up. The write
+    /// runs outside the lock so concurrent callers keep appending, and
+    /// the loop goes round while they do: their frames leave together in
+    /// the next kernel write. Bytes the kernel refuses stay queued for
+    /// the next operation (or the reader, which polls for writability).
+    // geometa-hot
+    fn flush<'a>(&'a self, mut st: MutexGuard<'a, LinkState>) -> MutexGuard<'a, LinkState> {
+        loop {
+            if st.flushing || st.out.is_empty() {
+                return st;
+            }
+            let Some(sock) = st.sock.clone() else {
+                return st;
             };
-            let flushed = conn.flush_out();
-            match flushed {
-                Err(_) => self.kill(key),
-                Ok(drained) => {
-                    let interest = Event {
-                        key,
-                        readable: true,
-                        writable: !drained,
-                    };
-                    if self.poller.modify(&conn.stream, interest).is_err() {
-                        self.kill(key);
+            let state = &mut *st;
+            std::mem::swap(&mut state.out, &mut state.spare);
+            let mut buf = std::mem::take(&mut state.spare);
+            state.handed_abs = state.flushed_abs + buf.len() as u64;
+            state.flushing = true;
+            drop(st);
+            let (written, result) = write_nonblocking(&sock.stream, &buf);
+            st = self.state.lock();
+            if !st.is_live(&sock) {
+                // Killed meanwhile: these bytes belonged to the dead
+                // connection, and its pending calls were already told.
+                buf.clear();
+                st.spare = buf;
+                return st;
+            }
+            let state = &mut *st;
+            state.flushing = false;
+            state.flushed_abs += written as u64;
+            state.handed_abs = state.flushed_abs;
+            match result {
+                Ok(()) => {
+                    buf.clear();
+                    state.spare = buf;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    // Put the unwritten tail back in front of whatever
+                    // was appended meanwhile.
+                    buf.drain(..written);
+                    buf.extend_from_slice(&state.out);
+                    std::mem::swap(&mut state.out, &mut buf);
+                    buf.clear();
+                    state.spare = buf;
+                    return st;
+                }
+                Err(_) => {
+                    st.kill();
+                    return st;
+                }
+            }
+        }
+    }
+
+    /// Hold the reader role (already claimed by the caller) until the
+    /// caller's own outcome arrives, its deadline passes or the
+    /// connection dies; then pass the role to the oldest pending call.
+    // geometa-hot
+    fn lead<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, LinkState>,
+        slot: &CallSlot,
+        deadline: Instant,
+        tick: Duration,
+    ) -> MutexGuard<'a, LinkState> {
+        let Some(sock) = st.sock.clone() else {
+            st.reading = false;
+            return st;
+        };
+        loop {
+            // Poll for writability only while bytes wait on a full
+            // socket buffer and no flush is under way.
+            let want_write = !st.out.is_empty() && !st.flushing;
+            if want_write != st.poll_writable {
+                let interest = Event {
+                    key: 0,
+                    readable: true,
+                    writable: want_write,
+                };
+                if sock.poller.modify(&sock.stream, interest).is_err() {
+                    st.kill();
+                    return st;
+                }
+                st.poll_writable = want_write;
+            }
+            let mut events = std::mem::take(&mut st.events);
+            drop(st);
+            events.clear();
+            let slice = tick.min(deadline.saturating_duration_since(Instant::now()));
+            let polled = sock.poller.wait(&mut events, Some(slice));
+            st = self.state.lock();
+            let ready = !events.is_empty();
+            st.events = events;
+            if !st.is_live(&sock) {
+                // Killed meanwhile: every pending call, this one too, has
+                // its outcome, and the role was reset with the link.
+                return st;
+            }
+            if polled.is_err() {
+                st.kill();
+                return st;
+            }
+            if ready {
+                if want_write {
+                    st = self.flush(st);
+                    if !st.is_live(&sock) {
+                        return st;
                     }
                 }
+                if !st.read_ready(&sock) {
+                    st.kill();
+                    return st;
+                }
+            }
+            if slot.state.lock().outcome.is_some() || Instant::now() >= deadline {
+                st.reading = false;
+                st.promote_oldest();
+                return st;
             }
         }
     }
 
-    /// Drop one connection, resolving its pending calls.
-    fn kill(&mut self, key: usize) {
-        if let Some(conn) = self.conns[key].take() {
-            let _ = self.poller.delete(&conn.stream);
-            conn.fail_pending();
+    /// Wait for the outcome of the call just queued under `gen`, leading
+    /// the link's reads whenever the reader role is free. `None` on
+    /// timeout: the call is dropped from the pending queue (a late
+    /// response is ignored) and never re-sent.
+    // geometa-hot
+    fn await_outcome<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, LinkState>,
+        slot: &CallSlot,
+        gen: u64,
+        deadline: Instant,
+        tick: Duration,
+    ) -> Option<CallOutcome> {
+        loop {
+            if let Some(outcome) = take_outcome(slot) {
+                return Some(outcome);
+            }
+            if Instant::now() >= deadline {
+                if let Some(pos) = st
+                    .pending
+                    .iter()
+                    .position(|p| p.gen == gen && std::ptr::eq(&*p.slot, slot))
+                {
+                    st.pending.remove(pos);
+                }
+                // A role handed to this caller must not die with it.
+                if !st.reading {
+                    st.promote_oldest();
+                }
+                let mut s = slot.state.lock();
+                s.gen = s.gen.wrapping_add(1);
+                return s.outcome.take();
+            }
+            if !st.reading && st.sock.is_some() {
+                st.reading = true;
+                st = self.lead(st, slot, deadline, tick);
+                continue;
+            }
+            drop(st);
+            {
+                let mut s = slot.state.lock();
+                while s.outcome.is_none() && !s.promoted {
+                    if slot.cv.wait_until(&mut s, deadline).timed_out() {
+                        break;
+                    }
+                }
+                s.promoted = false;
+            }
+            st = self.state.lock();
         }
     }
 }
 
-/// Drain the wake pipe (coalesced wake-ups are the point).
-fn drain_wake(wake_rx: &UnixStream) {
-    let mut sink = [0u8; 256];
-    while matches!((&mut { wake_rx }).read(&mut sink), Ok(n) if n > 0) {}
-}
-
-/// A pipelining, reconnecting [`RegistryTransport`] over framed TCP.
+/// A pipelining, reconnecting [`RegistryTransport`] over framed TCP,
+/// driven by its callers (see the module docs).
 ///
 /// * **Pipelining** — all calls to one target share one connection;
 ///   many can be in flight at once, correlated by sequence id, and
-///   submissions queued together coalesce into one kernel write.
+///   frames queued together coalesce into one kernel write.
 /// * **Exactly-once retries** — a call is re-sent only when its frame
-///   provably never fully reached the kernel (connect failure, pre-write
-///   error, partial flush). Timeouts and post-flush failures surface as
-///   `Unavailable` without a second send (see the module docs).
-/// * **Fire-and-forget casts** — `cast` hands the pre-encoded frame to a
-///   background pump thread with its own connections; the caller returns
-///   immediately, so a slow or dead target cannot stall the lazy path.
+///   provably never fully reached the kernel (connect failure, partial
+///   flush). Timeouts and post-flush failures surface as `Unavailable`
+///   without a second send.
+/// * **Fire-and-forget casts** — `cast` appends its frame to the link
+///   and writes what the kernel takes without waiting; a slow or dead
+///   target cannot stall the lazy path.
 pub struct TcpClientTransport {
-    addrs: HashMap<SiteId, SocketAddr>,
-    /// The call slab (slots + submission queue) shared with the reactor.
-    slab: Arc<CallSlab>,
-    wake_tx: UnixStream,
-    reactor: Option<std::thread::JoinHandle<()>>,
-    cast_tx: Option<Sender<(SiteId, bytes::Bytes)>>,
-    cast_worker: Option<std::thread::JoinHandle<()>>,
-    closing: Arc<AtomicBool>,
-    /// Mirror of the reactor's park gate (see `CallReactor::parked`).
-    reactor_parked: Arc<AtomicBool>,
+    /// One link per known site, indexed by `SiteId.0` (site ids are
+    /// dense).
+    links: Vec<Option<Link>>,
     call_timeout: Duration,
+    /// The reader's poll slice: how long a reader may sit in `poll`
+    /// before re-checking its deadline and the link's liveness.
+    io_tick: Duration,
     boot: Instant,
     /// Last membership epoch learned from the cluster; stamped on every
     /// epoch-checked call frame. Starts at 0, matching a fresh cluster;
     /// a stale value is corrected by the first `WrongEpoch` rejection.
     mem_epoch: AtomicU64,
-    /// Per-site call breaker (see [`CircuitBreaker`]); shared with the
-    /// cast path for shedding.
+    /// Per-site breaker (see [`CircuitBreaker`]), shared by calls and
+    /// casts.
     breaker: Mutex<CircuitBreaker>,
     /// Calls answered `Unavailable` without touching the socket because
     /// the target's breaker was open.
     breaker_fast_fails: AtomicU64,
-    /// Casts dropped at enqueue because the target's breaker was open
-    /// (shed lazy pushes before acked calls under breaker pressure).
+    /// Casts dropped without reaching the socket: open breaker, a full
+    /// backlog, a failed dial, or an unframeable request.
     casts_shed: AtomicU64,
-    /// The cast pump's backoff schedule, shared so callers can observe
-    /// per-target strike counts ([`Self::cast_strikes`]).
-    cast_backoff: Arc<Mutex<CastBackoff>>,
+    /// Recycled call slots; grows (one `Arc`) only while warming up past
+    /// its previous high-water mark.
+    free_slots: Mutex<Vec<Arc<CallSlot>>>,
 }
 
 impl TcpClientTransport {
     /// A transport dialing `addrs` (lazily, per target). Routing is fully
     /// determined by the target argument of each call, so one instance is
-    /// shared by clients at every site. `io_tick` bounds the reactor's
-    /// poll wait — it is the shutdown-observation latency, plumbed from
-    /// `TcpConfig::read_timeout` by the TCP layer.
+    /// shared by clients at every site. `io_tick` is the reader's poll
+    /// slice — how quickly a reader notices that another caller closed
+    /// the connection under it — plumbed from `TcpConfig::read_timeout`
+    /// by the TCP layer.
     pub fn new(
         addrs: HashMap<SiteId, SocketAddr>,
         call_timeout: Duration,
         io_tick: Duration,
     ) -> TcpClientTransport {
-        let closing = Arc::new(AtomicBool::new(false));
-
-        // -- call reactor ---------------------------------------------------
-        let (wake_tx, wake_rx) = UnixStream::pair().expect("socketpair"); // geometa-lint: allow(net-unwrap) construction-time, before any peer traffic: a host that cannot allocate a socketpair cannot run the transport at all
-        let _ = wake_tx.set_nonblocking(true);
-        let _ = wake_rx.set_nonblocking(true);
-        let slab = Arc::new(CallSlab {
-            queue: Mutex::new(Vec::new()),
-            free: Mutex::new(Vec::new()),
-        });
-        let poller = Poller::new().expect("poller"); // geometa-lint: allow(net-unwrap) construction-time, infallible in the poll(2) shim
-        poller
-            .add(&wake_rx, Event::readable(WAKE_KEY))
-            .expect("register wake pipe"); // geometa-lint: allow(net-unwrap) construction-time: fresh poller, fresh fd, cannot already be registered
-        let reactor_parked = Arc::new(AtomicBool::new(true));
-        let reactor_state = CallReactor {
-            poller,
-            conns: Vec::new(),
-            addrs: addrs.clone(),
-            tick: io_tick,
-            parked: Arc::clone(&reactor_parked),
-        };
-        let reactor_closing = Arc::clone(&closing);
-        let reactor_slab = Arc::clone(&slab);
-        // geometa-lint: allow(untracked-thread) the reactor's handle is stored in `reactor` and joined in Drop
-        let reactor = std::thread::Builder::new()
-            .name("tcp-call-reactor".into())
-            .spawn(move || reactor_state.run(reactor_slab, wake_rx, reactor_closing))
-            .expect("spawn call reactor"); // geometa-lint: allow(net-unwrap) construction-time, before any peer traffic: a host that cannot spawn one thread cannot run the transport at all
-
-        // -- cast pump ------------------------------------------------------
-        let (cast_tx, cast_rx) = bounded::<(SiteId, bytes::Bytes)>(CAST_QUEUE);
-        let pump_addrs = addrs.clone();
-        let pump_closing = Arc::clone(&closing);
-        let cast_backoff = Arc::new(Mutex::new(CastBackoff::new(CAST_BACKOFF_SEED)));
-        let pump_backoff = Arc::clone(&cast_backoff);
-        // geometa-lint: allow(untracked-thread) the cast pump's handle is stored in cast_worker and joined in Drop
-        let cast_worker = std::thread::Builder::new()
-            .name("tcp-cast-pump".into())
-            .spawn(move || cast_pump(&cast_rx, &pump_addrs, &pump_closing, &pump_backoff))
-            .expect("spawn cast pump"); // geometa-lint: allow(net-unwrap) construction-time, before any peer traffic: a host that cannot spawn one thread cannot run the transport at all
-
+        let mut links: Vec<Option<Link>> = Vec::new();
+        for (&site, &addr) in &addrs {
+            let key = site.0 as usize;
+            if key >= links.len() {
+                links.resize_with(key + 1, || None);
+            }
+            links[key] = Some(Link::new(addr));
+        }
         TcpClientTransport {
-            addrs,
-            slab,
-            wake_tx,
-            reactor: Some(reactor),
-            cast_tx: Some(cast_tx),
-            cast_worker: Some(cast_worker),
-            closing,
-            reactor_parked,
+            links,
             call_timeout,
+            io_tick,
             boot: Instant::now(),
             mem_epoch: AtomicU64::new(0),
             breaker: Mutex::new(CircuitBreaker::new(BREAKER_SEED)),
             breaker_fast_fails: AtomicU64::new(0),
             casts_shed: AtomicU64::new(0),
-            cast_backoff,
+            free_slots: Mutex::new(Vec::new()),
         }
     }
 
-    /// Hand one slot to the reactor, waking it only if it might be
-    /// blocked in `poll` (see `CallReactor::parked` for the pairing).
-    // geometa-hot
-    fn submit(&self, slot: &Arc<CallSlot>, gen: u64) -> Result<(), ()> {
-        if self.closing.load(Ordering::Acquire) {
-            return Err(());
-        }
-        self.slab.queue.lock().push((Arc::clone(slot), gen));
-        // swap, not load: concurrent submitters collapse into a single
-        // wake byte, and a full wake pipe already guarantees a pending
-        // wake-up anyway.
-        if self.reactor_parked.swap(false, Ordering::SeqCst) {
-            let _ = (&self.wake_tx).write(&[1]);
-        }
-        Ok(())
+    fn link(&self, target: SiteId) -> Option<&Link> {
+        self.links.get(target.0 as usize).and_then(Option::as_ref)
     }
 
-    /// Run one call on an acquired slot: encode into the slot's reused
-    /// buffer, submit, park on the slot's condvar, apply the
-    /// exactly-once retry rule. The slot is returned to the free list by
-    /// the caller ([`RegistryTransport::call`]).
+    /// Run one call on an acquired slot: frame, flush, wait, and apply
+    /// the exactly-once retry rule. The slot is returned to the free
+    /// list by the caller ([`RegistryTransport::call`]).
     // geometa-hot
     fn call_on_slot(
         &self,
@@ -794,34 +788,12 @@ impl TcpClientTransport {
                 let mut st = slot.state.lock();
                 st.gen = st.gen.wrapping_add(1);
                 st.outcome = None;
-                st.target = target;
-                st.epoch = epoch;
-                if attempt == 0 {
-                    st.body.clear();
-                    req.encode_into(&mut st.body);
-                }
-                // A NotSent retry reuses the already-encoded body.
+                st.promoted = false;
                 st.gen
             };
-            if self.submit(slot, gen).is_err() {
-                break; // transport closing
-            }
-            let deadline = Instant::now() + self.call_timeout;
-            let outcome = {
-                let mut st = slot.state.lock();
-                while st.outcome.is_none() {
-                    if slot.cv.wait_until(&mut st, deadline).timed_out() {
-                        break;
-                    }
-                }
-                let outcome = st.outcome.take();
-                if outcome.is_none() {
-                    // Timed out: bump the generation under the lock so a
-                    // late delivery against this submission is dropped
-                    // instead of resolving the slot's next occupant.
-                    st.gen = st.gen.wrapping_add(1);
-                }
-                outcome
+            let outcome = match self.link(target) {
+                Some(link) => self.round_trip(link, slot, gen, epoch, req),
+                None => Some(CallOutcome::NotSent), // unknown site
             };
             match outcome {
                 Some(CallOutcome::Response(resp)) => {
@@ -842,9 +814,9 @@ impl TcpClientTransport {
                 // The frame never fully reached the kernel: the one case
                 // where a second send cannot double-apply.
                 Some(CallOutcome::NotSent) if attempt == 0 => continue,
-                // Flushed-but-unanswered, exhausted retries, a timeout,
-                // or reactor death: the server may have applied the
-                // request — report Unavailable, never re-send.
+                // Flushed-but-unanswered, exhausted retries, or a
+                // timeout: the server may have applied the request —
+                // report Unavailable, never re-send.
                 Some(CallOutcome::NotSent) | Some(CallOutcome::Failed) | None => break,
             }
         }
@@ -854,12 +826,32 @@ impl TcpClientTransport {
         }
     }
 
+    /// One attempt: dial if needed, frame the request into the link,
+    /// flush, and wait for the outcome.
+    // geometa-hot
+    fn round_trip(
+        &self,
+        link: &Link,
+        slot: &Arc<CallSlot>,
+        gen: u64,
+        epoch: Option<u64>,
+        req: &RegistryRequest,
+    ) -> Option<CallOutcome> {
+        let mut st = link.state.lock();
+        if !link.connect(&mut st, CONNECT_TIMEOUT) || !st.enqueue_call(req, epoch, slot, gen) {
+            return Some(CallOutcome::NotSent);
+        }
+        let deadline = Instant::now() + self.call_timeout;
+        let st = link.flush(st);
+        link.await_outcome(st, slot, gen, deadline, self.io_tick)
+    }
+
     /// Membership epoch this transport currently stamps on calls.
     pub fn membership_epoch(&self) -> u64 {
         self.mem_epoch.load(Ordering::Acquire)
     }
 
-    /// Whether `target`'s call breaker is open right now.
+    /// Whether `target`'s breaker is open right now.
     pub fn breaker_open(&self, target: SiteId) -> bool {
         self.breaker.lock().is_open(target, Instant::now())
     }
@@ -869,108 +861,10 @@ impl TcpClientTransport {
         self.breaker_fast_fails.load(Ordering::Relaxed)
     }
 
-    /// Casts shed at enqueue because the target's breaker was open.
+    /// Casts dropped without reaching the socket (see the field docs).
     pub fn casts_shed(&self) -> u64 {
         self.casts_shed.load(Ordering::Relaxed)
     }
-
-    /// The cast pump's consecutive-failure count for `target` (0 once a
-    /// delivery succeeds — recovery tests assert this reset directly).
-    pub fn cast_strikes(&self, target: SiteId) -> u32 {
-        self.cast_backoff.lock().strikes(target)
-    }
-}
-
-/// The cast pump loop: drain the queue, coalesce by target, deliver each
-/// group with one flush.
-fn cast_pump(
-    cast_rx: &Receiver<(SiteId, bytes::Bytes)>,
-    addrs: &HashMap<SiteId, SocketAddr>,
-    closing: &AtomicBool,
-    backoff: &Mutex<CastBackoff>,
-) {
-    let mut conns: HashMap<SiteId, TcpStream> = HashMap::new();
-    while let Ok(first) = cast_rx.recv() {
-        // On close, discard the backlog instead of pushing it through
-        // (possibly wedged) peers — otherwise Drop could wait
-        // queue_len × write_timeout.
-        if closing.load(Ordering::Acquire) {
-            break;
-        }
-        // Write coalescing: everything already queued leaves in this
-        // pass, grouped by target (per-target arrival order preserved),
-        // each group written back-to-back with a single flush.
-        let mut groups: Vec<(SiteId, Vec<bytes::Bytes>)> = Vec::new();
-        for (target, body) in std::iter::once(first).chain(cast_rx.try_iter()) {
-            match groups.iter_mut().find(|(t, _)| *t == target) {
-                Some((_, bodies)) => bodies.push(body),
-                None => groups.push((target, vec![body])),
-            }
-        }
-        for (target, bodies) in groups {
-            if closing.load(Ordering::Acquire) {
-                return;
-            }
-            let Some(&addr) = addrs.get(&target) else {
-                continue;
-            };
-            // Dead-peer backoff: casts to a recently failed target drop
-            // instantly rather than paying connect timeouts per group
-            // and starving other sites. The lock is shared only with
-            // cheap observers (`cast_strikes`), never held across I/O.
-            if backoff.lock().is_dead(target, Instant::now()) {
-                continue;
-            }
-            // One reconnect attempt per group; on failure the group is
-            // dropped (lazy pushes are best-effort — the strategies
-            // re-converge via absorb idempotence). Every write is
-            // deadline-armed, so a stalled target costs at most
-            // CAST_WRITE_TIMEOUT per frame before the pump moves on.
-            let mut delivered = false;
-            for _ in 0..2 {
-                let ok = match conns.entry(target) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let ok = write_cast_group(e.get_mut(), &bodies).is_ok();
-                        if !ok {
-                            e.remove();
-                        }
-                        ok
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        match TcpStream::connect_timeout(&addr, CAST_CONNECT_TIMEOUT) {
-                            Ok(mut s) => {
-                                let _ = s.set_nodelay(true);
-                                let _ = s.set_write_timeout(Some(CAST_WRITE_TIMEOUT));
-                                let ok = write_cast_group(&mut s, &bodies).is_ok();
-                                if ok {
-                                    e.insert(s);
-                                }
-                                ok
-                            }
-                            Err(_) => false,
-                        }
-                    }
-                };
-                if ok {
-                    delivered = true;
-                    break;
-                }
-            }
-            if delivered {
-                backoff.lock().record_success(target);
-            } else {
-                backoff.lock().record_failure(target, Instant::now());
-            }
-        }
-    }
-}
-
-/// Write one target's coalesced cast frames, flushing once at the end.
-fn write_cast_group(stream: &mut TcpStream, bodies: &[bytes::Bytes]) -> std::io::Result<()> {
-    for body in bodies {
-        write_frame_with_mode(stream, MODE_CAST, body)?;
-    }
-    stream.flush()
 }
 
 impl RegistryTransport for TcpClientTransport {
@@ -989,33 +883,46 @@ impl RegistryTransport for TcpClientTransport {
             };
         }
         let epoch = checked.then(|| self.mem_epoch.load(Ordering::Acquire));
-        // A recycled slot from the free list; the slab grows (one Arc)
-        // only while warming up past its previous high-water mark.
         let slot = {
-            let recycled = self.slab.free.lock().pop();
+            let recycled = self.free_slots.lock().pop();
             recycled.unwrap_or_else(|| Arc::new(CallSlot::new()))
         };
         let resp = self.call_on_slot(&slot, target, epoch, &req);
-        self.slab.free.lock().push(slot);
+        self.free_slots.lock().push(slot);
         resp
     }
 
-    /// Enqueue on the cast pump; never blocks on the target. When the
-    /// pump is `CAST_QUEUE` messages behind the cast is dropped rather
-    /// than growing the queue without bound, and when the target's call
-    /// breaker is open the cast is shed immediately — under breaker
-    /// pressure lazy pushes are sacrificed before acked calls
+    /// Frame the cast into the target's link and write what the kernel
+    /// takes, on the caller's thread; never waits on the target. Under
+    /// breaker pressure lazy pushes are sacrificed before acked calls
     /// (best-effort semantics; absorb idempotence re-converges).
+    // geometa-hot
     fn cast(&self, target: SiteId, req: RegistryRequest) {
+        let Some(link) = self.link(target) else {
+            return;
+        };
         if self.breaker.lock().is_open(target, Instant::now()) {
             self.casts_shed.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        if let Some(tx) = &self.cast_tx {
-            if let Err(TrySendError::Full(_)) = tx.try_send((target, req.encode())) {
-                // Dropped: the pump is saturated or wedged on a slow peer.
-            }
+        let mut st = link.state.lock();
+        if st.out.len() >= CAST_BACKLOG {
+            drop(st);
+            self.casts_shed.fetch_add(1, Ordering::Relaxed);
+            return;
         }
+        if !link.connect(&mut st, CAST_CONNECT_TIMEOUT) {
+            drop(st);
+            self.casts_shed.fetch_add(1, Ordering::Relaxed);
+            self.breaker.lock().record_failure(target, Instant::now());
+            return;
+        }
+        if !st.push_frame(MODE_CAST, &[], &req) {
+            drop(st);
+            self.casts_shed.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        drop(link.flush(st));
     }
 
     fn now_micros(&self) -> u64 {
@@ -1023,9 +930,12 @@ impl RegistryTransport for TcpClientTransport {
     }
 
     fn sites(&self) -> Vec<SiteId> {
-        let mut s: Vec<SiteId> = self.addrs.keys().copied().collect();
-        s.sort();
-        s
+        self.links
+            .iter()
+            .enumerate()
+            .filter(|(_, link)| link.is_some())
+            .map(|(i, _)| SiteId(i as u16))
+            .collect()
     }
 
     /// Ask the cluster for the current membership: probe every known
@@ -1043,33 +953,10 @@ impl RegistryTransport for TcpClientTransport {
     }
 }
 
-impl Drop for TcpClientTransport {
-    fn drop(&mut self) {
-        // Flag first so both workers discard any backlog (and `submit`
-        // rejects new slots), then poke the wake pipe so they observe
-        // the flag promptly; joins are bounded by one poll tick / write
-        // timeout. The reactor resolves everything pending or queued on
-        // its way out.
-        self.closing.store(true, Ordering::Release);
-        let _ = (&self.wake_tx).write(&[1]);
-        if let Some(h) = self.reactor.take() {
-            let _ = h.join();
-        }
-        drop(self.cast_tx.take());
-        if let Some(h) = self.cast_worker.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Idle-pool depth of the legacy pooled client; still the default for
-/// `TcpConfig::pool_per_site` (the pipelined client ignores it).
-pub const DEFAULT_POOL_PER_SITE: usize = 16;
-
 /// Convenience: a transport for a cluster listening on `addrs[i]` for
 /// site *i* (the `geometa-load --connect` path).
 pub fn transport_for(addrs: &[SocketAddr], call_timeout: Duration) -> Arc<TcpClientTransport> {
-    // geometa-lint: allow(unordered-iter) `addrs` here is the slice parameter (caller-ordered), not this file's HashMap field of the same name
+    // geometa-lint: allow(unordered-iter) `addrs` here is the slice parameter (caller-ordered), not a HashMap
     let map = addrs
         .iter()
         .enumerate()
@@ -1086,91 +973,25 @@ pub fn transport_for(addrs: &[SocketAddr], call_timeout: Duration) -> Arc<TcpCli
 mod tests {
     use super::*;
 
-    #[test]
-    fn cast_backoff_doubles_to_the_cap_within_jitter_bounds() {
-        let mut b = CastBackoff::new(1);
-        let t = SiteId(0);
-        let now = Instant::now();
-        let mut expected = CAST_BACKOFF_BASE;
-        let mut prev_hit_cap = false;
-        for _ in 0..12 {
-            let d = b.record_failure(t, now);
-            let lo = expected.mul_f64(1.0 - CAST_BACKOFF_JITTER);
-            let hi = expected.mul_f64(1.0 + CAST_BACKOFF_JITTER);
-            assert!(
-                d >= lo && d <= hi,
-                "delay {d:?} outside jitter band [{lo:?}, {hi:?}]"
-            );
-            if expected >= CAST_BACKOFF_CAP {
-                prev_hit_cap = true;
-            } else {
-                expected *= 2;
-                expected = expected.min(CAST_BACKOFF_CAP);
-            }
-        }
-        assert!(prev_hit_cap, "12 strikes must reach the cap");
-    }
-
-    #[test]
-    fn cast_backoff_success_resets_and_targets_are_independent() {
-        let mut b = CastBackoff::new(2);
-        let now = Instant::now();
-        let (a, c) = (SiteId(1), SiteId(2));
-        for _ in 0..5 {
-            b.record_failure(a, now);
-        }
-        // Target `c` starts from the base despite `a`'s strike count…
-        assert!(b.record_failure(c, now) <= CAST_BACKOFF_BASE.mul_f64(1.0 + CAST_BACKOFF_JITTER));
-        assert!(b.is_dead(a, now));
-        // …and a success forgets the whole history for that target only.
-        b.record_success(a);
-        assert!(!b.is_dead(a, now));
-        assert!(b.is_dead(c, now));
-        assert!(b.record_failure(a, now) <= CAST_BACKOFF_BASE.mul_f64(1.0 + CAST_BACKOFF_JITTER));
-    }
-
-    #[test]
-    fn cast_backoff_jitter_is_deterministic_per_seed() {
-        let now = Instant::now();
-        let run = |seed: u64| -> Vec<Duration> {
-            let mut b = CastBackoff::new(seed);
-            (0..8).map(|_| b.record_failure(SiteId(0), now)).collect()
-        };
-        assert_eq!(run(7), run(7), "same seed, same schedule");
-        assert_ne!(run(7), run(8), "different seeds de-correlate");
-    }
-
-    #[test]
-    fn cast_backoff_expires_by_the_clock() {
-        let mut b = CastBackoff::new(3);
-        let now = Instant::now();
-        let d = b.record_failure(SiteId(0), now);
-        assert!(b.is_dead(SiteId(0), now));
-        assert!(!b.is_dead(SiteId(0), now + d));
+    fn get(key: &str) -> RegistryRequest {
+        RegistryRequest::Get { key: key.into() }
     }
 
     #[test]
     fn pending_calls_resolve_by_the_flushed_bytes_rule() {
-        // Two frames queued; only the first fully flushed when the
-        // connection dies. The first may have been applied (Failed),
-        // the second provably was not (NotSent).
-        let (a, _b) = std::os::unix::net::UnixStream::pair().unwrap();
-        let stream = {
-            // A TcpStream is required by the struct; dial a throwaway
-            // loopback listener (never read from).
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            std::net::TcpStream::connect(l.local_addr().unwrap()).unwrap()
-        };
-        drop(a);
-        let mut conn = CConn::new(stream);
+        // Two frames queued; only the first fully handed to the kernel
+        // when the connection dies. The first may have been applied
+        // (Failed), the second provably was not (NotSent).
+        let mut link = LinkState::new();
         let slot1 = Arc::new(CallSlot::new());
         let slot2 = Arc::new(CallSlot::new());
-        conn.enqueue_call(b"first", None, Arc::clone(&slot1), 0);
-        let first_end = conn.queued_abs;
-        conn.enqueue_call(b"second", None, Arc::clone(&slot2), 0);
+        assert!(link.enqueue_call(&get("first"), None, &slot1, 0));
+        let first_end = link.queued_abs;
+        assert!(link.enqueue_call(&get("second"), None, &slot2, 0));
         // Pretend the kernel took the first frame plus half the second.
-        conn.flushed_abs = first_end + 3;
-        conn.fail_pending();
+        link.flushed_abs = first_end + 3;
+        link.handed_abs = link.flushed_abs;
+        link.kill();
         assert!(matches!(
             slot1.state.lock().outcome,
             Some(CallOutcome::Failed)
@@ -1179,6 +1000,28 @@ mod tests {
             slot2.state.lock().outcome,
             Some(CallOutcome::NotSent)
         ));
+        assert!(link.pending.is_empty() && link.out.is_empty());
+    }
+
+    #[test]
+    fn bytes_in_flight_at_kill_count_as_sent() {
+        // A flusher is writing both frames outside the lock when another
+        // caller kills the connection: neither may be re-sent.
+        let mut link = LinkState::new();
+        let slot1 = Arc::new(CallSlot::new());
+        let slot2 = Arc::new(CallSlot::new());
+        link.enqueue_call(&get("a"), None, &slot1, 0);
+        link.enqueue_call(&get("b"), None, &slot2, 0);
+        link.handed_abs = link.queued_abs;
+        link.flushing = true;
+        link.kill();
+        for slot in [&slot1, &slot2] {
+            assert!(matches!(
+                slot.state.lock().outcome,
+                Some(CallOutcome::Failed)
+            ));
+        }
+        assert!(!link.flushing && !link.reading);
     }
 
     #[test]
@@ -1196,25 +1039,37 @@ mod tests {
 
     #[test]
     fn epoch_calls_are_framed_as_mode_call_epoch() {
-        let stream = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            std::net::TcpStream::connect(l.local_addr().unwrap()).unwrap()
-        };
-        let mut conn = CConn::new(stream);
+        let mut link = LinkState::new();
         let slot = Arc::new(CallSlot::new());
-        conn.enqueue_call(b"req", Some(0xDEAD_BEEF_0042), slot, 0);
+        let req = RegistryRequest::Status;
+        assert!(link.enqueue_call(&req, Some(0xDEAD_BEEF_0042), &slot, 0));
         // [len u32][mode][seq u32][epoch u64][body]
-        let out = &conn.out;
+        let out = &link.out;
+        let body = req.encode();
         let len = u32::from_le_bytes([out[0], out[1], out[2], out[3]]) as usize;
-        assert_eq!(len, 1 + 4 + 8 + 3);
+        assert_eq!(len, 1 + 4 + 8 + body.len());
         assert_eq!(out[4], MODE_CALL_EPOCH);
         assert_eq!(&out[5..9], &0u32.to_le_bytes());
         assert_eq!(
             u64::from_le_bytes(out[9..17].try_into().unwrap()),
             0xDEAD_BEEF_0042
         );
-        assert_eq!(&out[17..20], b"req");
-        assert_eq!(conn.queued_abs, (4 + len) as u64);
+        assert_eq!(&out[17..], &body[..]);
+        assert_eq!(link.queued_abs, (4 + len) as u64);
+    }
+
+    #[test]
+    fn casts_are_framed_as_mode_cast() {
+        let mut link = LinkState::new();
+        let req = get("lazy/k");
+        assert!(link.push_frame(MODE_CAST, &[], &req));
+        let body = req.encode();
+        let out = &link.out;
+        let len = u32::from_le_bytes([out[0], out[1], out[2], out[3]]) as usize;
+        assert_eq!(len, 1 + body.len());
+        assert_eq!(out[4], MODE_CAST);
+        assert_eq!(&out[5..], &body[..]);
+        assert!(link.pending.is_empty(), "a cast awaits no response");
     }
 
     #[test]

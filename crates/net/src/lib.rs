@@ -15,11 +15,14 @@
 //!   locks; a legacy thread-per-connection path remains behind
 //!   [`TcpConfig::thread_per_conn`];
 //! * [`client`] — [`TcpClientTransport`]: one pipelined connection per
-//!   target driven by a single reactor thread, requests correlated by
-//!   per-connection sequence ids so many callers share one socket;
-//!   retries follow the exactly-once rule (re-send only when the frame
-//!   provably never reached the kernel), plus a background cast pump
-//!   with write coalescing so lazy pushes never stall on a slow target;
+//!   target, driven by the callers themselves (no client thread): each
+//!   call and cast writes its frame on the caller's thread, writes from
+//!   concurrent callers coalesce, and waiting callers take turns as the
+//!   link's reader, correlating responses by per-connection sequence
+//!   ids. Retries follow the exactly-once rule (re-send only when the
+//!   frame provably never reached the kernel); casts ride the same
+//!   connection and are shed, never waited on, when the target is slow
+//!   or its circuit breaker is open;
 //! * [`loadgen`] — the seeded load generator driving synthetic /
 //!   Montage / BuzzFlow op streams (`geometa_workflow::apps::ops`) in
 //!   closed-loop and coordinated-omission-safe open-loop modes;

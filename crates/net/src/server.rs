@@ -9,15 +9,18 @@
 //!
 //! Wire protocol (on top of [`crate::frame`]):
 //!
-//! * client → server: frame body = `[mode u8][RegistryRequest]` where
-//!   mode 0 = CALL (a response frame follows), mode 1 = CAST
-//!   (fire-and-forget, no response), and mode 2 = CALL_SEQ (pipelined
-//!   call: a `u32_le` sequence id follows the mode byte and is echoed
-//!   ahead of the response, so many calls can be in flight on one
-//!   connection and resolve to the right callers regardless of
-//!   interleaving);
+//! * client → server: frame body = `[mode u8][header][RegistryRequest]`
+//!   where mode 0 = CALL (no header; a response frame follows), mode 1 =
+//!   CAST (no header; fire-and-forget, no response), mode 2 = CALL_SEQ
+//!   (pipelined call: the header is a `u32_le` sequence id, echoed ahead
+//!   of the response, so many calls can be in flight on one connection
+//!   and resolve to the right callers regardless of interleaving), and
+//!   mode 3 = CALL_EPOCH (a CALL_SEQ whose header adds the `u64_le`
+//!   membership epoch the client planned against; a stale epoch is
+//!   refused with `WrongEpoch`). The client transport sends CALL_SEQ,
+//!   CALL_EPOCH and CAST frames interleaved on one connection per site;
 //! * server → client: frame body = `[RegistryResponse]` for CALL,
-//!   `[u32_le seq][RegistryResponse]` for CALL_SEQ.
+//!   `[u32_le seq][RegistryResponse]` for CALL_SEQ and CALL_EPOCH.
 //!
 //! A malformed request never kills a connection's peers: CALLs answer
 //! with `RegistryResponse::Error` (the codec is total), CASTs are
@@ -84,15 +87,11 @@ pub struct TcpConfig {
     /// Bounded accept pool: at most this many live connection threads per
     /// site; further accepts wait for a slot.
     pub max_conns_per_site: usize,
-    /// Connection-thread read poll tick (shutdown observation latency).
+    /// Server poll tick (shutdown observation latency); also the client
+    /// transport's reader poll slice.
     pub read_timeout: Duration,
     /// Client-side deadline for one call's response.
     pub call_timeout: Duration,
-    /// Client-side idle connections kept per target site; size to the
-    /// expected call concurrency or calls churn fresh handshakes. Only
-    /// meaningful for the legacy pool; the pipelined client multiplexes
-    /// every call onto one connection per target.
-    pub pool_per_site: usize,
     /// Compatibility path: serve each connection on its own blocking
     /// thread (the pre-reactor model) instead of the per-site reactor.
     pub thread_per_conn: bool,
@@ -109,7 +108,6 @@ impl Default for TcpConfig {
             max_conns_per_site: 128,
             read_timeout: Duration::from_millis(25),
             call_timeout: Duration::from_secs(10),
-            pool_per_site: crate::client::DEFAULT_POOL_PER_SITE,
             thread_per_conn: false,
             reactors: 0,
         }
@@ -162,13 +160,13 @@ impl ConnGate {
 
 /// The TCP [`ConnectionLayer`]: binds one loopback listener per site on
 /// start, serves framed requests through [`ServiceCore::serve`], and
-/// hands out pooling [`TcpClientTransport`]s.
+/// hands out pipelined [`TcpClientTransport`]s.
 pub struct TcpLayer {
     config: TcpConfig,
     addrs: HashMap<SiteId, SocketAddr>,
     /// One transport shared by every client of this runtime: routing is
-    /// per call target, and the connection pool + cast-pump thread are
-    /// too expensive to duplicate per client.
+    /// per call target, and sharing it lets every client's calls and
+    /// casts to a site ride (and coalesce on) one connection.
     shared: Mutex<Option<Arc<TcpClientTransport>>>,
 }
 

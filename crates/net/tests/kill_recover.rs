@@ -278,15 +278,18 @@ fn free_base_port() -> u16 {
     panic!("no free base port found");
 }
 
-/// The cast pump's dead-peer backoff must *recover*: strikes accumulate
-/// while the peer is down and reset to zero after the reborn peer takes
-/// a delivery. One transport lives across the kill and the restart —
-/// the cluster must come back on the same ports for its strike history
-/// to be about the same addresses.
+/// Casts to a dead site are shed by the circuit breaker, and delivery
+/// *recovers*: while the whole cluster is down, casts strike the
+/// breaker open and are then dropped without a dial (`casts_shed`
+/// rises, `breaker_open` is true); after a restart on the same ports,
+/// once a half-open probe is answered, a cast reaches the reborn site
+/// again, confirmed by reading it back with `Get`. One transport lives
+/// across the kill and the restart, so its breaker history is about the
+/// same addresses.
 #[test]
-fn cast_backoff_strikes_reset_after_peer_recovery() {
+fn cast_breaker_sheds_while_dead_and_recovers_after_rebirth() {
     let (root, keep) = data_root();
-    let data_dir = root.join("cast-backoff-recovery");
+    let data_dir = root.join("cast-breaker-recovery");
     std::fs::create_dir_all(&data_dir).expect("create data dir");
     let base = free_base_port();
 
@@ -306,9 +309,9 @@ fn cast_backoff_strikes_reset_after_peer_recovery() {
         .collect();
     let transport = transport_for(&addrs, CALL_TIMEOUT);
     let target = SiteId(1);
-    let absorb = || RegistryRequest::Absorb {
+    let absorb = |name: &str| RegistryRequest::Absorb {
         entries: vec![geometa_core::RegistryEntry::new(
-            "cast-backoff-probe",
+            name,
             64,
             geometa_core::FileLocation {
                 site: target,
@@ -317,11 +320,21 @@ fn cast_backoff_strikes_reset_after_peer_recovery() {
             1,
         )],
     };
+    let found = |name: &str| {
+        matches!(
+            transport.call(
+                target,
+                RegistryRequest::Get {
+                    key: geometa_core::Key::from(name),
+                },
+            ),
+            geometa_core::protocol::RegistryResponse::Found { .. }
+        )
+    };
 
     // One acked write so `--recover` later has on-disk state to replay,
     // then a warm cast delivery, confirmed by reading the absorbed entry
-    // back from the target (strikes alone start at 0, which proves
-    // nothing about delivery).
+    // back from the target.
     {
         let sites: Vec<SiteId> = (0..SITES as u16).map(SiteId).collect();
         let controller = Arc::new(ArchitectureController::with_kind(
@@ -337,32 +350,29 @@ fn cast_backoff_strikes_reset_after_peer_recovery() {
             },
         );
         client
-            .publish("cast-backoff-anchor", 64)
+            .publish("cast-breaker-anchor", 64)
             .expect("publish anchor");
     }
-    transport.cast(target, absorb());
-    wait_until("first cast delivered", || {
-        matches!(
-            transport.call(
-                target,
-                RegistryRequest::Get {
-                    key: geometa_core::Key::from("cast-backoff-probe"),
-                },
-            ),
-            geometa_core::protocol::RegistryResponse::Found { .. }
-        )
-    });
-    assert_eq!(transport.cast_strikes(target), 0);
+    transport.cast(target, absorb("cast-before-kill"));
+    wait_until("first cast delivered", || found("cast-before-kill"));
+    assert_eq!(transport.casts_shed(), 0, "a healthy site sheds nothing");
+    assert!(!transport.breaker_open(target));
 
-    // Kill the whole cluster; casts now strike out.
+    // Kill the whole cluster: failed dials strike the breaker open, and
+    // from then on casts are shed without touching the network.
     child.kill().expect("SIGKILL server");
     let _ = child.wait();
-    wait_until("strikes accumulate against the dead peer", || {
-        transport.cast(target, absorb());
-        transport.cast_strikes(target) >= 2
+    wait_until("the breaker opens against the dead site", || {
+        transport.cast(target, absorb("cast-while-dead"));
+        transport.breaker_open(target)
     });
-    let down_strikes = transport.cast_strikes(target);
-    assert!(down_strikes >= 2, "dead peer accumulated {down_strikes}");
+    let shed = transport.casts_shed();
+    assert!(shed >= 1, "casts to the dead site must be shed, saw {shed}");
+    transport.cast(target, absorb("cast-while-dead"));
+    assert!(
+        transport.casts_shed() > shed,
+        "a cast under the open breaker must be shed"
+    );
 
     // Rebirth on the same ports.
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_geometa-server"));
@@ -377,10 +387,26 @@ fn cast_backoff_strikes_reset_after_peer_recovery() {
     let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
     wait_ready(&mut stdout);
 
-    // One delivered cast wipes the whole strike history for the target.
-    wait_until("strikes reset after the peer recovered", || {
-        transport.cast(target, absorb());
-        transport.cast_strikes(target) == 0
+    // The half-open probe: an epoch-checked call is fast-failed while
+    // the breaker is open and goes through once it half-opens; any
+    // answer from the reborn site closes the breaker.
+    wait_until("a half-open probe closes the breaker", || {
+        let probe = transport.call(
+            target,
+            RegistryRequest::Get {
+                key: geometa_core::Key::from("cast-breaker-anchor"),
+            },
+        );
+        !matches!(
+            probe,
+            geometa_core::protocol::RegistryResponse::Error {
+                error: geometa_core::MetaError::Unavailable
+            }
+        ) && !transport.breaker_open(target)
+    });
+    wait_until("a cast is delivered after recovery", || {
+        transport.cast(target, absorb("cast-after-recovery"));
+        found("cast-after-recovery")
     });
 
     drop(child.stdin.take());
@@ -406,8 +432,8 @@ fn wait_ready(stdout: &mut BufReader<std::process::ChildStdout>) {
     }
 }
 
-/// Poll `cond` for up to 30s (cast cooldowns reach seconds under
-/// repeated strikes), panicking with `what` on timeout.
+/// Poll `cond` for up to 30s (breaker open intervals reach seconds
+/// under repeated strikes), panicking with `what` on timeout.
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     for _ in 0..600 {
         if cond() {

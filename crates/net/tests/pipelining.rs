@@ -10,7 +10,7 @@ use geometa_core::protocol::{RegistryRequest, RegistryResponse};
 use geometa_core::transport::RegistryTransport;
 use geometa_core::{FileLocation, MetaError, RegistryEntry};
 use geometa_net::frame::{Fill, FrameReader};
-use geometa_net::server::{MODE_CALL_EPOCH, MODE_CALL_SEQ};
+use geometa_net::server::{MODE_CALL_EPOCH, MODE_CALL_SEQ, MODE_CAST};
 use geometa_net::TcpClientTransport;
 use geometa_sim::topology::SiteId;
 use std::collections::HashMap;
@@ -293,5 +293,259 @@ fn refused_connection_fails_fast_as_unavailable() {
     assert!(
         elapsed < Duration::from_secs(5),
         "refused connect took {elapsed:?} — should fail fast, not wait out the call timeout"
+    );
+}
+
+fn found(key: &str, size: u64) -> RegistryResponse {
+    RegistryResponse::Found {
+        entry: RegistryEntry::new(
+            key.to_string(),
+            size,
+            FileLocation {
+                site: SiteId(0),
+                node: 0,
+            },
+            0,
+        ),
+    }
+}
+
+/// Eight threads × 500 calls share one link: every response reaches its
+/// own caller, the server accepts exactly one connection, and it sees
+/// every request frame exactly once. The fake server answers each read
+/// batch as it arrives, so readers hand the role on thousands of times
+/// while other callers append and flush concurrently.
+#[test]
+fn eight_threads_share_one_link_and_every_frame_arrives_once() {
+    const THREADS: usize = 8;
+    const CALLS: usize = 500;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+
+    // geometa-lint: allow(untracked-thread) test fake server, joined at the end of the test
+    let server = std::thread::spawn(move || -> (usize, HashMap<String, usize>) {
+        let mut seen: HashMap<String, usize> = HashMap::new();
+        let (mut stream, _) = listener.accept().expect("accept");
+        listener
+            .set_nonblocking(true)
+            .expect("nonblocking listener");
+        let mut accepted = 1;
+        let mut reader = FrameReader::new();
+        let mut wire = Vec::new();
+        loop {
+            match reader.fill(&mut stream).expect("read") {
+                Fill::Eof => break,
+                Fill::Idle => continue,
+                Fill::Progress => {}
+            }
+            while let Some(body) = reader.next_frame().expect("well-framed traffic") {
+                let (seq, req) = parse_call(&body);
+                let RegistryRequest::Get { key } = req else {
+                    panic!("expected Get, got {req:?}");
+                };
+                let size: u64 = key
+                    .as_str()
+                    .rsplit('/')
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .expect("key suffix");
+                *seen.entry(key.as_str().to_string()).or_insert(0) += 1;
+                push_response(&mut wire, seq, &found(key.as_str(), size));
+            }
+            stream.write_all(&wire).expect("respond");
+            wire.clear();
+        }
+        while listener.accept().is_ok() {
+            accepted += 1;
+        }
+        (accepted, seen)
+    });
+
+    let transport = transport_to(addr, Duration::from_secs(10));
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let transport = &transport;
+            scope.spawn(move || {
+                for i in 0..CALLS {
+                    let size = (t * CALLS + i) as u64;
+                    let key = format!("link/t{t}/{size}");
+                    let resp = transport.call(
+                        SiteId(0),
+                        RegistryRequest::Get {
+                            key: key.as_str().into(),
+                        },
+                    );
+                    let RegistryResponse::Found { entry } = resp else {
+                        panic!("thread {t} call {i}: expected Found, got {resp:?}");
+                    };
+                    assert_eq!(entry.name.as_str(), key, "another caller's response");
+                    assert_eq!(entry.size, size);
+                }
+            });
+        }
+    });
+    drop(transport);
+    let (accepted, seen) = server.join().expect("server thread");
+    assert_eq!(accepted, 1, "every caller must share the one link");
+    assert_eq!(
+        seen.len(),
+        THREADS * CALLS,
+        "every request reached the server"
+    );
+    assert!(
+        seen.values().all(|&n| n == 1),
+        "a request frame reached the server twice"
+    );
+}
+
+/// The reader's own call times out while other callers wait behind it:
+/// the timed-out reader hands the role on, and the remaining callers
+/// complete. The server holds every answer until the reader has given
+/// up, so the followers can only finish if one of them took over the
+/// reads; no frame is ever sent twice.
+#[test]
+fn timed_out_reader_hands_the_reader_role_on() {
+    const FOLLOWERS: usize = 4;
+    let call_timeout = Duration::from_secs(2);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (stalled_tx, stalled_rx) = std::sync::mpsc::channel::<()>();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+
+    // geometa-lint: allow(untracked-thread) test fake server, joined at the end of the test
+    let server = std::thread::spawn(move || -> usize {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut reader = FrameReader::new();
+        // The reader's request: never answered.
+        read_frame(&mut stream, &mut reader).expect("stalled request");
+        stalled_tx.send(()).expect("signal");
+        let mut calls = Vec::new();
+        while calls.len() < FOLLOWERS {
+            let body = read_frame(&mut stream, &mut reader).expect("follower request");
+            calls.push(parse_call(&body).0);
+        }
+        release_rx.recv().expect("release");
+        let mut wire = Vec::new();
+        for seq in calls {
+            push_response(&mut wire, seq, &RegistryResponse::Ack);
+        }
+        stream.write_all(&wire).expect("respond");
+        let mut frames = 1 + FOLLOWERS;
+        while read_frame(&mut stream, &mut reader).is_some() {
+            frames += 1;
+        }
+        frames
+    });
+
+    let transport = transport_to(addr, call_timeout);
+    std::thread::scope(|scope| {
+        let transport = &transport;
+        scope.spawn(move || {
+            let resp = transport.call(SiteId(0), put_request("reader/stalled"));
+            assert!(
+                matches!(
+                    resp,
+                    RegistryResponse::Error {
+                        error: MetaError::Unavailable
+                    }
+                ),
+                "the stalled call must time out, got {resp:?}"
+            );
+            release_tx.send(()).expect("release");
+        });
+        stalled_rx
+            .recv()
+            .expect("stalled request reached the server");
+        // Start the followers well inside the reader's window, so they
+        // queue behind it and their own deadlines outlive it by a second.
+        std::thread::sleep(call_timeout / 2);
+        for i in 0..FOLLOWERS {
+            scope.spawn(move || {
+                let resp = transport.call(SiteId(0), put_request(&format!("reader/f{i}")));
+                assert!(
+                    matches!(resp, RegistryResponse::Ack),
+                    "follower {i} stranded after the reader timed out: {resp:?}"
+                );
+            });
+        }
+    });
+    drop(transport);
+    assert_eq!(
+        server.join().expect("server thread"),
+        1 + FOLLOWERS,
+        "no request may be sent twice"
+    );
+}
+
+/// A cast issued while a call is in flight on the same link reaches the
+/// server as one whole `MODE_CAST` frame, between the call frames.
+#[test]
+fn cast_during_an_inflight_call_arrives_whole_between_call_frames() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let cast_req = RegistryRequest::Absorb {
+        entries: (0..64)
+            .map(|i| {
+                RegistryEntry::new(
+                    format!("lazy/cast/{i}"),
+                    i,
+                    FileLocation {
+                        site: SiteId(0),
+                        node: 0,
+                    },
+                    0,
+                )
+            })
+            .collect(),
+    };
+    let expected_cast = cast_req.encode();
+    let (inflight_tx, inflight_rx) = std::sync::mpsc::channel::<()>();
+
+    // geometa-lint: allow(untracked-thread) test fake server, joined at the end of the test
+    let server = std::thread::spawn(move || -> Vec<u8> {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut reader = FrameReader::new();
+        let mut modes = Vec::new();
+        let first = read_frame(&mut stream, &mut reader).expect("first call");
+        modes.push(first[0]);
+        let (seq, _) = parse_call(&first);
+        // Hold the answer: the call stays in flight while the cast goes.
+        inflight_tx.send(()).expect("signal");
+        let cast = read_frame(&mut stream, &mut reader).expect("cast frame");
+        modes.push(cast[0]);
+        assert_eq!(
+            &cast[1..],
+            &expected_cast[..],
+            "the cast frame arrived torn"
+        );
+        let mut wire = Vec::new();
+        push_response(&mut wire, seq, &RegistryResponse::Ack);
+        stream.write_all(&wire).expect("respond");
+        let second = read_frame(&mut stream, &mut reader).expect("second call");
+        modes.push(second[0]);
+        let (seq, _) = parse_call(&second);
+        wire.clear();
+        push_response(&mut wire, seq, &RegistryResponse::Ack);
+        stream.write_all(&wire).expect("respond");
+        while read_frame(&mut stream, &mut reader).is_some() {}
+        modes
+    });
+
+    let transport = transport_to(addr, Duration::from_secs(10));
+    std::thread::scope(|scope| {
+        let transport = &transport;
+        let caller = scope.spawn(move || transport.call(SiteId(0), put_request("cast/first")));
+        inflight_rx.recv().expect("first call reached the server");
+        transport.cast(SiteId(0), cast_req);
+        let first = caller.join().expect("caller");
+        assert!(matches!(first, RegistryResponse::Ack), "got {first:?}");
+    });
+    let second = transport.call(SiteId(0), put_request("cast/second"));
+    assert!(matches!(second, RegistryResponse::Ack), "got {second:?}");
+    assert_eq!(transport.casts_shed(), 0);
+    drop(transport);
+    assert_eq!(
+        server.join().expect("server thread"),
+        vec![MODE_CALL_EPOCH, MODE_CAST, MODE_CALL_EPOCH]
     );
 }
